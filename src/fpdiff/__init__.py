@@ -11,8 +11,8 @@ from .params import ParamStore
 from .sampling import SamplerConfig, generate
 from .schedule import NoiseSchedule, build_schedule
 from .solver import SjfbConfig, SolverConfig, sjfb_train_step, solve
-from .tensor import (Parameter, Tape, Tensor, backward, eval_no_grad,
-                     eval_with_grad, no_recording, recording, using_dtype)
+from .tensor import (Parameter, Tape, Tensor, backward, no_recording,
+                     recording, using_dtype)
 # The train() entry point stays in fpdiff.train: re-exporting it here would
 # shadow the submodule of the same name.
 from .train import net_from_checkpoint
@@ -20,8 +20,7 @@ from .train import net_from_checkpoint
 __all__ = [
     "AuditError", "DivergenceError", "NumericError", "UsageError",
     "ParamStore", "Parameter", "Tape", "Tensor",
-    "backward", "eval_no_grad", "eval_with_grad",
-    "no_recording", "recording", "using_dtype",
+    "backward", "no_recording", "recording", "using_dtype",
     "BudgetPlan", "CostModel", "audit_cost",
     "plan_adaptive", "plan_constant", "plan_ramp",
     "ExperimentConfig", "config_from_dict", "load_config",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,10 +61,6 @@ def _parse_int_list(text):
             f"expected comma-separated integers, got {text!r}")
 
 
-def _load_net(ckpt_path):
-    return net_from_checkpoint(ckpt_path)
-
-
 def _sample_labels(cfg, count):
     if cfg.model.n_classes == 0:
         return None
@@ -90,29 +87,21 @@ def _cmd_train(args):
     return 0
 
 
-def _build_plan(args, net, sched, cfg):
+def _build_plan(args, net, sched, cfg, sampler, labels):
+    """The plan to run, and the adaptive threshold (None otherwise)."""
     cost = CostModel(cfg.model.n_pre, cfg.model.n_post)
+    grid = plan_constant(args.budget, args.iters, cost, sched.timesteps)
     if args.heuristic == "constant":
-        return plan_constant(args.budget, args.iters, cost,
-                             sched.timesteps), None
+        return grid, None
     if args.heuristic in ("increasing", "decreasing"):
-        steps = plan_constant(args.budget, args.iters, cost,
-                              sched.timesteps).steps
-        return plan_ramp(args.budget, args.heuristic, steps, cost,
+        return plan_ramp(args.budget, args.heuristic, grid.steps, cost,
                          sched.timesteps), None
-    # adaptive: probe thresholds with the real sampler, then lock the
-    # tightest feasible one and replay it for the final run
-    labels = _sample_labels(cfg, args.count)
-
+    # adaptive: probe thresholds with the real sampler on the constant
+    # plan's timesteps, then freeze the plan of the tightest feasible one
     def probe(theta):
-        solver = SolverConfig(mode="threshold", theta=theta,
-                              init="reuse" if args.reuse else "injection")
-        out = generate(net, sched,
-                       SamplerConfig(kind=args.sampler,
-                                     guidance=args.guidance, seed=args.seed,
-                                     solver=solver),
-                       batch=args.count,
-                       timesteps=select_probe_timesteps(sched, args, cost),
+        solver = replace(sampler.solver, mode="threshold", theta=theta)
+        out = generate(net, sched, replace(sampler, solver=solver),
+                       batch=args.count, timesteps=grid.timesteps,
                        labels=labels)
         return out.realized
 
@@ -120,31 +109,18 @@ def _build_plan(args, net, sched, cfg):
     return plan, theta
 
 
-def select_probe_timesteps(sched, args, cost):
-    """Timestep grid for threshold probing: the constant plan's grid."""
-    return plan_constant(args.budget, args.iters, cost,
-                         sched.timesteps).timesteps
-
-
 def _cmd_sample(args):
-    net, sched, cfg = _load_net(args.ckpt)
+    net, sched, cfg = net_from_checkpoint(args.ckpt)
     if args.guidance != 1.0 and cfg.model.n_classes == 0:
         raise UsageError("guidance requires a class-conditional checkpoint")
     os.makedirs(args.out, exist_ok=True)
-    plan, theta = _build_plan(args, net, sched, cfg)
     labels = _sample_labels(cfg, args.count)
-    solver = SolverConfig(init="reuse" if args.reuse else "injection")
-    if theta is not None:
-        solver = SolverConfig(mode="threshold", theta=theta,
-                              init=solver.init)
-    sampler = SamplerConfig(kind=args.sampler, guidance=args.guidance,
-                            seed=args.seed, solver=solver)
-    if theta is None:
-        out = generate(net, sched, sampler, batch=args.count, plan=plan,
-                       labels=labels)
-    else:
-        out = generate(net, sched, sampler, batch=args.count,
-                       timesteps=plan.timesteps, labels=labels)
+    sampler = SamplerConfig(
+        kind=args.sampler, guidance=args.guidance, seed=args.seed,
+        solver=SolverConfig(init="reuse" if args.reuse else "injection"))
+    plan, theta = _build_plan(args, net, sched, cfg, sampler, labels)
+    out = generate(net, sched, sampler, batch=args.count, plan=plan,
+                   labels=labels)
     verdict = audit_cost(plan, out.counter_records)
     if not verdict:
         raise AuditError(
@@ -182,7 +158,7 @@ def _cmd_sweep(args):
         return 0
     if not args.ckpt:
         raise UsageError(f"sweep {args.study} needs --ckpt")
-    net, sched, cfg = _load_net(args.ckpt)
+    net, sched, cfg = net_from_checkpoint(args.ckpt)
     reference = _reference_for(cfg, args.count)
     out_csv = os.path.join(args.out, f"{args.study}.csv")
     if args.study == "smoothing":

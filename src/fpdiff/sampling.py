@@ -19,7 +19,7 @@ from .budget import BudgetPlan
 from .errors import NumericError, UsageError
 from .nn import PassCounter
 from .schedule import NoiseSchedule, predict_from_v
-from .solver import SolverConfig, init_solution, solve
+from .solver import SolverConfig, solve
 from .tensor import Tensor
 
 
@@ -194,7 +194,9 @@ def _denoise_at(net, sched, cfg, x, t, k, labels, previous):
         lab_in = None
     cond = net.embed_conditioning(t_in, lab_in)
     x_tilde = net.inject(net.pre_forward(net.tokenize(x_in)))
-    x0 = init_solution(t, x_tilde, previous)
+    # Reuse starts from the neighboring timestep's solution; the first
+    # timestep has none and starts from the injection, by design.
+    x0 = x_tilde if previous is None else previous
     if k is None:
         solver_cfg = cfg.solver
     else:

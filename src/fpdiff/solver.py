@@ -1,10 +1,10 @@
 """Fixed-point iteration, stochastic training steps, and gradient probes.
 
-The solver runs plain iteration x <- step(x) either for a fixed count or
-until the RMS update norm delta falls below a threshold. Training follows the
-split-gradient recipe: n iterations run without recording, m iterations run
-on the tape, and backward unrolls only those m. One (n, m) draw is shared by
-the whole batch each step.
+``solve`` is the one fixed-point loop: plain iteration x <- step(x) either
+for a fixed count or until the RMS update norm delta falls below a threshold.
+Training follows the split-gradient recipe with two fixed-count solves: n
+iterations run without recording, m iterations run on the tape, and backward
+unrolls only those m. One (n, m) draw is shared by the whole batch each step.
 """
 
 from __future__ import annotations
@@ -92,19 +92,6 @@ def solve(step, x0: Tensor, cfg: SolverConfig, timestep=-1):
     return x, trace
 
 
-def init_solution(timestep_index, x_pre_projected, previous=None):
-    """Initial iterate for a timestep's fixed-point solve.
-
-    Returns ``previous`` (the neighboring timestep's converged solution)
-    unchanged when present; otherwise the injection output. Reuse at the
-    first sampling step has no previous solution and falls back to the
-    default, by design.
-    """
-    if previous is not None:
-        return previous
-    return x_pre_projected
-
-
 @dataclass(frozen=True)
 class SjfbConfig:
     """Iteration-count policy for training.
@@ -160,23 +147,17 @@ class SjfbStepResult:
 def sjfb_train_step(batch: SjfbBatch, net, cfg: SjfbConfig, rng):
     """One training step with an (n, m) draw shared across the batch.
 
-    The injection output is computed once and shared by every iteration.
-    The n no-grad iterations leave the tape untouched; gradients flow to the
-    pre layers and injection through the with-grad segment's use of x_tilde.
+    The injection output x_tilde is computed once, shared by every
+    iteration, and is the first iterate. Gradients flow to the pre layers
+    and injection through the with-grad segment's use of x_tilde.
     """
     n, m = cfg.draw(rng)
     tape = Tape()
-    deltas = []
     with recording(tape):
         cond = net.embed_conditioning(batch.t, batch.labels)
-        x_pre = net.pre_forward(net.tokenize(batch.x_t))
-        x_tilde = net.inject(x_pre)
-        x = x_tilde
-        with no_recording():
-            for i in range(n):
-                x = _guarded_step(net, x, x_tilde, cond, deltas, i)
-        for j in range(m):
-            x = _guarded_step(net, x, x_tilde, cond, deltas, n + j)
+        x_tilde = net.inject(net.pre_forward(net.tokenize(batch.x_t)))
+        x, deltas = _split_solve(
+            lambda z: net.fp_step(z, x_tilde, cond), x_tilde, n, m)
         v_pred = net.post_forward(x)
         loss = T.mse(v_pred, Tensor(batch.v_target))
     loss_value = float(loss.data)
@@ -188,16 +169,20 @@ def sjfb_train_step(batch: SjfbBatch, net, cfg: SjfbConfig, rng):
                           deltas=deltas, tape_nodes=tape.node_count)
 
 
-def _guarded_step(net, x, x_tilde, cond, deltas, index):
-    x_new = net.fp_step(x, x_tilde, cond)
-    d = rms_delta(x_new.data, x.data)
-    deltas.append(d)
-    # NaN compares false against the limit, so test finiteness explicitly.
-    if not np.isfinite(d) or d > DIVERGENCE_DELTA:
-        trace = FixedPointTrace(timestep=-1, deltas=deltas,
-                                iterations_used=index + 1)
-        raise DivergenceError(f"training iterate diverged (delta {d:.3e})", trace)
-    return x_new
+def _split_solve(step, x, n, m):
+    """n fixed iterations without recording, then m on the active tape.
+
+    Both segments are ``solve`` calls; the first is skipped when n = 0.
+    Returns (x, deltas of all n + m iterations). A DivergenceError carries
+    the trace of the segment that diverged.
+    """
+    deltas = []
+    if n:
+        with no_recording():
+            x, trace = solve(step, x, SolverConfig(iterations=n))
+        deltas += trace.deltas
+    x, trace = solve(step, x, SolverConfig(iterations=m))
+    return x, deltas + trace.deltas
 
 
 def export_trace_csv(traces, path):
@@ -276,12 +261,8 @@ def sjfb_gradient(system, n, m):
     target = Tensor(system.target)
     with recording(tape):
         inj = T.matmul(x_tilde, system.wb)
-        x = Tensor(system.x0)
-        with no_recording():
-            for _ in range(n):
-                x = T.add(T.matmul(x, system.wa), inj)
-        for _ in range(m):
-            x = T.add(T.matmul(x, system.wa), inj)
+        x, _ = _split_solve(lambda z: T.add(T.matmul(z, system.wa), inj),
+                            Tensor(system.x0), n, m)
         loss = T.mse(x, target)
     grads = backward(tape, loss)
     return grads["wa"].data, grads["wb"].data

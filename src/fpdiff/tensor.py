@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 
 import numpy as np
 
@@ -97,19 +98,16 @@ class Parameter(Tensor):
 class Node:
     """One recorded primitive application.
 
-    Keeps the raw input arrays and attrs so the tape can be replayed, the
-    output array for replay verification, grad routing targets (parent Node,
-    Parameter leaf, or None for constants), and the backward closure.
+    Holds grad routing targets (parent Node, Parameter leaf, or None for
+    constants) and the backward closure over the saved inputs. ``tape`` is a
+    weak reference to the recording tape, so a tape and its nodes form no
+    reference cycle and a step's graph is freed as soon as it goes out of use.
     """
 
-    __slots__ = ("op", "tape", "input_data", "attrs", "out_data", "targets", "backward")
+    __slots__ = ("tape", "targets", "backward")
 
-    def __init__(self, op, tape, input_data, attrs, out_data, targets, backward):
-        self.op = op
+    def __init__(self, tape, targets, backward):
         self.tape = tape
-        self.input_data = input_data
-        self.attrs = attrs
-        self.out_data = out_data
         self.targets = targets
         self.backward = backward
 
@@ -127,20 +125,6 @@ class Tape:
     @property
     def node_count(self):
         return len(self.nodes)
-
-    def replay_check(self):
-        """Re-run every recorded primitive on its saved inputs.
-
-        Returns True when each node reproduces its recorded output
-        bit-exactly.
-        """
-        for node in self.nodes:
-            redo = _RAW_FORWARD[node.op](*node.input_data, **node.attrs)
-            if redo.dtype != node.out_data.dtype or redo.shape != node.out_data.shape:
-                return False
-            if not np.array_equal(redo, node.out_data):
-                return False
-        return True
 
 
 _ACTIVE_TAPE = None
@@ -176,25 +160,13 @@ def active_tape():
     return _ACTIVE_TAPE
 
 
-def eval_no_grad(f, *inputs):
-    """Evaluate ``f(*inputs)`` recording nothing on any tape."""
-    with no_recording():
-        return f(*inputs)
-
-
-def eval_with_grad(f, *inputs, tape):
-    """Evaluate ``f(*inputs)`` while recording onto ``tape``."""
-    with recording(tape):
-        return f(*inputs)
-
-
 def backward(tape, loss):
     """Walk ``tape`` in reverse and return {param name: gradient Tensor}.
 
     Only parameters touched by recorded nodes appear in the result. The loss
     must be a scalar recorded on this tape.
     """
-    if loss.node is None or loss.node.tape is not tape:
+    if loss.node is None or loss.node.tape() is not tape:
         raise UsageError("loss was not recorded on this tape")
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -222,7 +194,7 @@ def _as_tensor(x):
 
 
 def _target_of(t, tape):
-    if t.node is not None and t.node.tape is tape:
+    if t.node is not None and t.node.tape() is tape:
         return t.node
     if isinstance(t, Parameter):
         return t
@@ -240,8 +212,8 @@ def _apply(op, tensors, attrs, make_backward):
     if tape is not None:
         targets = tuple(_target_of(t, tape) for t in tensors)
         if any(tgt is not None for tgt in targets):
-            node = Node(op, tape, datas, attrs, out,
-                        targets, make_backward(datas, out, attrs))
+            node = Node(weakref.ref(tape), targets,
+                        make_backward(datas, out, attrs))
             tape.nodes.append(node)
     return Tensor._wrap(out, node)
 
@@ -286,8 +258,8 @@ def _silu_grad(x):
 
 
 # ---------------------------------------------------------------------------
-# Raw forward kernels (ndarray in, ndarray out). Kept separate from the
-# Tensor wrappers so a tape can replay nodes with identical code paths.
+# Raw forward kernels (ndarray in, ndarray out), looked up by op name in
+# _apply.
 # ---------------------------------------------------------------------------
 
 def _raw_matmul(a, b):

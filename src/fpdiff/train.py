@@ -28,7 +28,7 @@ from .config import (
 from .data import DatasetSampler
 from .errors import DivergenceError, NumericError, UsageError
 from .metrics import evaluate
-from .nn import BaselineNet, DenoiseNet
+from .nn import DenoiseNet
 from .params import ParamStore
 from .sampling import SamplerConfig, generate
 from .schedule import build_schedule, q_sample, v_target
@@ -36,7 +36,6 @@ from .solver import SjfbBatch, SjfbConfig, SolverConfig, sjfb_train_step
 
 ADAM_EPS = 1e-8
 ABORT_STREAK = 50
-BASELINE_BLOCKS = 28
 
 METRICS_COLUMNS = ["step", "loss", "n", "m", "delta_first", "delta_last",
                    "vmse", "swd", "mmd", "skipped", "seed", "config_hash"]
@@ -72,7 +71,6 @@ class TrainResult:
     checkpoint_path: str = ""
     metrics_path: str = ""
     param_count: int = 0
-    baseline_param_count: int = 0
     skipped_steps: int = 0
     net: object = None             # live network, for in-process callers
 
@@ -108,11 +106,8 @@ def train(cfg: ExperimentConfig, out_dir, log=None) -> TrainResult:
     sched = build_schedule(cfg.schedule.timesteps, cfg.schedule.beta_start,
                            cfg.schedule.beta_end)
     net = DenoiseNet(cfg.model, seed=cfg.seed)
-    baseline_count = BaselineNet(cfg.model, n_blocks=BASELINE_BLOCKS,
-                                 seed=0).param_count()
     n_params = net.param_count()
-    say(f"parameters: fpdm={n_params} baseline{BASELINE_BLOCKS}="
-        f"{baseline_count} ratio={n_params / baseline_count:.4f}")
+    say(f"parameters: fpdm={n_params}")
 
     if cfg.model.n_classes > 0:
         if cfg.dataset["name"] != "gaussian-mixture":
@@ -144,8 +139,7 @@ def train(cfg: ExperimentConfig, out_dir, log=None) -> TrainResult:
     result = TrainResult(steps_run=0, final_loss=math.nan,
                          checkpoint_path=ckpt_path,
                          metrics_path=metrics_path,
-                         param_count=n_params,
-                         baseline_param_count=baseline_count)
+                         param_count=n_params)
 
     t_start = time.perf_counter()
     streak = 0

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, artifacts, byte determinism."""
 
+import collections
+import csv
 import json
 
 import numpy as np
@@ -10,7 +12,8 @@ from fpdiff import cli
 from fpdiff.cli import main
 from fpdiff.config import config_from_dict, config_json
 from fpdiff.data import read_pgm
-from fpdiff.train import train
+from fpdiff.sampling import SamplerConfig, generate
+from fpdiff.train import net_from_checkpoint, train
 
 
 def write_config(path, **overrides):
@@ -123,6 +126,18 @@ class TestSampleCommand:
         assert "audit ok:" in stdout
         plan = import_plan_csv(out / "plan.csv")
         assert plan.total_cost <= 60
+        # The final run is the frozen plan in fixed mode: a fixed-count run
+        # of plan.csv with the same seed and sampler reproduces it exactly.
+        net, sched, _ = net_from_checkpoint(ckpt)
+        fixed = generate(net, sched, SamplerConfig(kind="ddpm", seed=0),
+                         batch=200, plan=plan)
+        assert np.array_equal(read_samples_csv(out / "samples.csv"),
+                              fixed.samples.astype(np.float64))
+        with open(out / "traces.csv", newline="") as fh:
+            iters = collections.Counter(
+                int(row["timestep"]) for row in csv.DictReader(fh))
+        assert sorted(iters.items(), reverse=True) == \
+            list(zip(plan.timesteps, plan.iterations))
 
     def test_guidance_needs_conditional_model(self, ckpt, tmp_path, capsys):
         code = main(self.sample_args(ckpt, tmp_path / "g", guidance=4.0))

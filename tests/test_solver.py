@@ -16,7 +16,6 @@ from fpdiff.solver import (
     SolverConfig,
     exact_implicit_gradient,
     export_trace_csv,
-    init_solution,
     jfb_gradient_comparison,
     make_linear_system,
     rms_delta,
@@ -106,12 +105,6 @@ class TestSolve:
             SolverConfig(mode="threshold", theta=0.0)
         with pytest.raises(UsageError):
             SolverConfig(init="warm")
-
-    def test_init_solution_prefers_previous(self):
-        prev = Tensor(np.ones((1, 4)))
-        inj = Tensor(np.zeros((1, 4)))
-        assert init_solution(5, inj, previous=prev) is prev
-        assert init_solution(5, inj, previous=None) is inj
 
 
 class TestExactGradientOracle:
