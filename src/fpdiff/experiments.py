@@ -21,7 +21,6 @@ from .config import ExperimentConfig
 from .data import DatasetSampler
 from .errors import AuditError, UsageError
 from .metrics import evaluate
-from .nn import DenoiseNet
 from .sampling import SamplerConfig, generate
 from .schedule import build_schedule
 from .solver import SjfbConfig, SolverConfig

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .params import ParamStore
+from .solver import SolverConfig, solve
 from . import tensor as T
 from .tensor import Tensor
 
@@ -163,7 +164,12 @@ class Block:
                                         np.zeros(width, dtype=np.float64))
                         for k in _MOD_NAMES}
 
-    def _modulation(self, cond):
+    def modulation(self, cond):
+        """The six modulation vectors for a conditioning embedding.
+
+        They depend only on ``cond``, so an implicit block computes them once
+        per solve and passes them to every iteration.
+        """
         if self.conditioned:
             if cond is None:
                 raise UsageError("conditioned block called without conditioning")
@@ -189,17 +195,22 @@ class Block:
         att = T.reshape(T.transpose(att, (0, 2, 1, 3)), (b, t, w))
         return self.wo(att)
 
-    def __call__(self, x, cond=None, counter=None):
+    def __call__(self, x, mod=None, counter=None):
+        """One block pass; ``mod`` is ``modulation(cond)`` (a conditioned
+        block needs it, an unconditioned one uses its static vectors)."""
         if counter is not None:
             counter.tick()
-        m = self._modulation(cond)
+        if mod is None:
+            if self.conditioned:
+                raise UsageError("conditioned block called without modulation")
+            mod = self.mod
         h = T.layer_norm(x)
-        h = T.add(T.mul(h, T.add_scalar(m["scale1"], 1.0)), m["shift1"])
-        x = T.add(x, T.mul(m["gate1"], self._attention(h)))
+        h = T.add(T.mul(h, T.add_scalar(mod["scale1"], 1.0)), mod["shift1"])
+        x = T.add(x, T.mul(mod["gate1"], self._attention(h)))
         h = T.layer_norm(x)
-        h = T.add(T.mul(h, T.add_scalar(m["scale2"], 1.0)), m["shift2"])
+        h = T.add(T.mul(h, T.add_scalar(mod["scale2"], 1.0)), mod["shift2"])
         mlp = self.mlp2(T.gelu(self.mlp1(h)))
-        return T.add(x, T.mul(m["gate2"], mlp))
+        return T.add(x, T.mul(mod["gate2"], mlp))
 
 
 def sinusoid_features(t, width, max_period=10000.0):
@@ -322,20 +333,21 @@ class DenoiseNet(_Backbone):
         """Per-token linear projection of the pre-block output (bias included)."""
         return T.linear(x_pre, self.inject_w, self.inject_b)
 
-    def fp_step(self, x, x_tilde, cond):
+    def fp_step(self, x, x_tilde, mod):
         """One implicit-block application on x + x_tilde.
 
-        Pure function of its inputs and the parameters; the injection is
-        added to the block input, and the same weights serve every iteration.
-        The next iterate is the injection plus the block's residual update,
-        layer-normalized: basing the trunk on x_tilde rather than on the
-        iterate keeps the map's Jacobian free of an identity term, so the
-        iteration actually contracts. Carrying the iterate itself through
-        the residual trunk would re-accumulate x_tilde every pass and leave
-        the map with no fixed point at all.
+        Pure function of its inputs and the parameters; ``mod`` is
+        ``fp_block.modulation(cond)``, computed once per solve. The injection
+        is added to the block input, and the same weights serve every
+        iteration. The next iterate is the injection plus the block's
+        residual update, layer-normalized: basing the trunk on x_tilde
+        rather than on the iterate keeps the map's Jacobian free of an
+        identity term, so the iteration actually contracts. Carrying the
+        iterate itself through the residual trunk would re-accumulate
+        x_tilde every pass and leave the map with no fixed point at all.
         """
         u = T.add(x, x_tilde)
-        out = self.fp_block(u, cond, counter=self.pass_counter)
+        out = self.fp_block(u, mod, counter=self.pass_counter)
         update = T.add(out, T.mul_scalar(u, -1.0))
         return T.layer_norm(T.add(x_tilde, update))
 
@@ -347,17 +359,15 @@ class DenoiseNet(_Backbone):
     def forward(self, x_data, t, labels=None, iterations=1):
         """Full forward pass with a fixed iteration count.
 
-        The fixed-point iteration starts from the injection output; solver
-        code drives the pieces directly when it needs reuse or traces.
+        The fixed-point iteration is a fixed-mode ``solve`` from the
+        injection output; solver code drives the pieces directly when it
+        needs reuse or traces.
         """
-        if iterations < 1:
-            raise UsageError("iterations must be >= 1")
-        cond = self.embed_conditioning(t, labels)
-        x_pre = self.pre_forward(self.tokenize(x_data))
-        x_tilde = self.inject(x_pre)
-        x = x_tilde
-        for _ in range(iterations):
-            x = self.fp_step(x, x_tilde, cond)
+        solver_cfg = SolverConfig(iterations=iterations)   # rejects < 1
+        mod = self.fp_block.modulation(self.embed_conditioning(t, labels))
+        x_tilde = self.inject(self.pre_forward(self.tokenize(x_data)))
+        x, _ = solve(lambda z: self.fp_step(z, x_tilde, mod), x_tilde,
+                     solver_cfg)
         return self.post_forward(x)
 
     def param_count(self):
@@ -382,7 +392,7 @@ class BaselineNet(_Backbone):
         cond = self.embed_conditioning(t, labels)
         x = self.tokenize(x_data)
         for blk in self.blocks:
-            x = blk(x, cond, counter=self.pass_counter)
+            x = blk(x, blk.modulation(cond), counter=self.pass_counter)
         return self.head(x)
 
     def param_count(self):

@@ -20,7 +20,6 @@ from .errors import NumericError, UsageError
 from .nn import PassCounter
 from .schedule import NoiseSchedule, predict_from_v
 from .solver import SolverConfig, solve
-from .tensor import Tensor
 
 
 def _posterior_coeffs(sched, t, t_prev):
@@ -192,7 +191,7 @@ def _denoise_at(net, sched, cfg, x, t, k, labels, previous):
         x_in = x
         t_in = np.full(batch, t)
         lab_in = None
-    cond = net.embed_conditioning(t_in, lab_in)
+    mod = net.fp_block.modulation(net.embed_conditioning(t_in, lab_in))
     x_tilde = net.inject(net.pre_forward(net.tokenize(x_in)))
     # Reuse starts from the neighboring timestep's solution; the first
     # timestep has none and starts from the injection, by design.
@@ -203,7 +202,7 @@ def _denoise_at(net, sched, cfg, x, t, k, labels, previous):
         solver_cfg = SolverConfig(mode="fixed", iterations=k,
                                   init=cfg.solver.init)
     x_star, trace = solve(
-        lambda z: net.fp_step(z, x_tilde, cond), x0, solver_cfg, timestep=t)
+        lambda z: net.fp_step(z, x_tilde, mod), x0, solver_cfg, timestep=t)
     v_out = net.post_forward(x_star).data
     if labels is not None:
         v = cfg_combine(v_out[:batch], v_out[batch:], cfg.guidance)

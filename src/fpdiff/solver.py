@@ -147,17 +147,20 @@ class SjfbStepResult:
 def sjfb_train_step(batch: SjfbBatch, net, cfg: SjfbConfig, rng):
     """One training step with an (n, m) draw shared across the batch.
 
-    The injection output x_tilde is computed once, shared by every
-    iteration, and is the first iterate. Gradients flow to the pre layers
-    and injection through the with-grad segment's use of x_tilde.
+    The injection output x_tilde and the implicit block's modulation are
+    computed once on the tape and shared by every iteration; x_tilde is the
+    first iterate. Gradients flow to the pre layers and injection through
+    the with-grad segment's use of x_tilde, and to the modulation maps
+    through its use of the modulation.
     """
     n, m = cfg.draw(rng)
     tape = Tape()
     with recording(tape):
-        cond = net.embed_conditioning(batch.t, batch.labels)
+        mod = net.fp_block.modulation(
+            net.embed_conditioning(batch.t, batch.labels))
         x_tilde = net.inject(net.pre_forward(net.tokenize(batch.x_t)))
         x, deltas = _split_solve(
-            lambda z: net.fp_step(z, x_tilde, cond), x_tilde, n, m)
+            lambda z: net.fp_step(z, x_tilde, mod), x_tilde, n, m)
         v_pred = net.post_forward(x)
         loss = T.mse(v_pred, Tensor(batch.v_target))
     loss_value = float(loss.data)

@@ -246,7 +246,7 @@ _GELU_A = 0.044715
 
 def _gelu_grad(x):
     x = x.astype(np.float64, copy=False)
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     th = np.tanh(inner)
     sech2 = 1.0 - th ** 2
     return 0.5 * (1.0 + th) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
@@ -284,7 +284,7 @@ def _raw_add_scalar(a, c):
 
 def _raw_gelu(a):
     x = a.astype(np.float64, copy=False)
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     return (0.5 * x * (1.0 + np.tanh(inner))).astype(a.dtype)
 
 
@@ -371,7 +371,12 @@ def matmul(a, b):
 
         def bw(g):
             ga = _unbroadcast(np.matmul(g, np.swapaxes(db, -1, -2)), da.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g), db.shape)
+            if db.ndim == 2 and da.ndim > 2:
+                # A shared weight: one GEMM over all batch rows instead of
+                # one outer product per row summed afterwards.
+                gb = da.reshape(-1, db.shape[0]).T @ g.reshape(-1, db.shape[1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g), db.shape)
             return ga, gb
 
         return bw

@@ -32,7 +32,7 @@ from .nn import DenoiseNet
 from .params import ParamStore
 from .sampling import SamplerConfig, generate
 from .schedule import build_schedule, q_sample, v_target
-from .solver import SjfbBatch, SjfbConfig, SolverConfig, sjfb_train_step
+from .solver import SjfbBatch, SolverConfig, sjfb_train_step
 
 ADAM_EPS = 1e-8
 ABORT_STREAK = 50

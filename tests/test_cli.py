@@ -2,7 +2,6 @@
 
 import collections
 import csv
-import json
 
 import numpy as np
 import pytest

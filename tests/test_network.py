@@ -8,7 +8,7 @@ from fpdiff.gradcheck import finite_difference_check
 from fpdiff.nn import (BaselineNet, DataSpec, DenoiseNet, NetworkConfig,
                        PassCounter, patchify, sinusoid_features)
 from fpdiff import tensor as T
-from fpdiff.tensor import Tape, Tensor, recording, using_dtype
+from fpdiff.tensor import Tensor, using_dtype
 
 
 def points_config(**kw):
@@ -28,16 +28,28 @@ def test_blocks_are_identity_at_init():
     out = net.pre_forward(x)
     assert np.array_equal(out.data, x.data)
 
-    cond = net.embed_conditioning(np.array([5, 10, 20]))
+    mod = net.fp_block.modulation(net.embed_conditioning(np.array([5, 10, 20])))
     xt = Tensor(rng.normal(size=(3, 1, 32)).astype(np.float32))
-    step = net.fp_step(x, xt, cond)
+    step = net.fp_step(x, xt, mod)
     # Zero-init gates produce no residual update, so the cell collapses to
     # the normalized injection regardless of the iterate.
     expected = T.layer_norm(xt).data
     np.testing.assert_allclose(step.data, expected, rtol=1e-6, atol=1e-6)
     other = net.fp_step(Tensor(rng.normal(size=(3, 1, 32)).astype(np.float32)),
-                        xt, cond)
+                        xt, mod)
     np.testing.assert_allclose(other.data, expected, rtol=1e-6, atol=1e-6)
+
+
+def test_conditioned_block_needs_its_modulation():
+    net = DenoiseNet(points_config(), seed=0)
+    x = Tensor(np.zeros((2, 1, 32), dtype=np.float32))
+    with pytest.raises(UsageError):
+        net.fp_block(x)
+    with pytest.raises(UsageError):
+        net.fp_block.modulation(None)
+    # Unconditioned blocks use their static vectors.
+    assert net.pre[0].modulation(None) is net.pre[0].mod
+    assert np.array_equal(net.pre[0](x).data, x.data)
 
 
 def test_zero_injection_weights_give_zero_x_tilde():
@@ -238,12 +250,12 @@ def test_weight_tying_reproduces_one_iteration_forward_bit_exactly():
     # and closing normalization spliced in by hand around the middle block.
     cond = base.embed_conditioning(t)
     h = base.tokenize(x)
-    pre_out = base.blocks[0](h, cond)
+    pre_out = base.blocks[0](h, base.blocks[0].modulation(cond))
     x_tilde = Tensor(0.5 * pre_out.data)
     u = Tensor(2.0 * x_tilde.data)            # iterate starts at x_tilde
-    update = Tensor(base.blocks[1](u, cond).data - u.data)
+    update = Tensor(base.blocks[1](u, base.blocks[1].modulation(cond)).data - u.data)
     h = T.layer_norm(Tensor(x_tilde.data + update.data))
-    h = base.blocks[2](h, cond)
+    h = base.blocks[2](h, base.blocks[2].modulation(cond))
     got_base = base.head(h)
     assert np.array_equal(got_net.data, got_base.data)
 

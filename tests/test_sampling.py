@@ -5,7 +5,7 @@ import pytest
 
 from fpdiff.budget import CostModel, audit_cost, plan_constant, plan_ramp
 from fpdiff.errors import UsageError
-from fpdiff.nn import DataSpec, DenoiseNet, NetworkConfig
+from fpdiff.nn import Block, DataSpec, DenoiseNet, NetworkConfig
 from fpdiff.sampling import (
     SamplerConfig,
     cfg_combine,
@@ -215,6 +215,29 @@ class TestGenerate:
             audit = audit_cost(plan, res.counter_records)
             assert audit.ok, (plan.heuristic, audit)
             assert [k for _, k in res.realized] == list(plan.iterations)
+
+    def test_modulation_runs_once_per_timestep(self, sched, monkeypatch):
+        # Fixed plan with k = 4: the implicit block's modulation is computed
+        # once per timestep and shared by its four iterations, with and
+        # without guidance.
+        calls = []
+        orig = Block.modulation
+
+        def counted(blk, cond):
+            if blk.conditioned:
+                calls.append(cond.shape[0])
+            return orig(blk, cond)
+
+        monkeypatch.setattr(Block, "modulation", counted)
+        plan = plan_constant(60, 4, C11)
+        for n_classes, labels in ((0, None), (4, np.array([0, 1, 2]))):
+            calls.clear()
+            res = generate(small_net(n_classes=n_classes), sched,
+                           SamplerConfig(seed=0, guidance=2.0), batch=3,
+                           plan=plan, labels=labels)
+            assert [k for _, k in res.realized] == [4] * len(plan.timesteps)
+            width = 3 if labels is None else 6
+            assert calls == [width] * len(plan.timesteps)
 
     def test_guidance_does_not_change_pass_count(self, sched):
         net = small_net(n_classes=4)

@@ -8,7 +8,7 @@ import pytest
 
 import fpdiff.tensor as T
 from fpdiff.errors import DivergenceError, UsageError
-from fpdiff.nn import DataSpec, DenoiseNet, NetworkConfig
+from fpdiff.nn import Block, DataSpec, DenoiseNet, NetworkConfig
 from fpdiff.schedule import build_schedule, q_sample, v_target
 from fpdiff.solver import (
     SjfbBatch,
@@ -248,6 +248,29 @@ class TestTrainStep:
         for probe in ("fp.attn.q.w", "fp.inject.w", "pre.0.mlp.fc1.w",
                       "post.0.attn.out.w", "head.out.w", "temb.fc1.w"):
             assert probe in names, probe
+
+    def test_modulation_runs_once_per_step(self, monkeypatch):
+        # The implicit block's modulation depends only on the conditioning,
+        # so a step computes it once on the tape, whatever n and m are, and
+        # its maps still receive a gradient.
+        net = tiny_net()
+        batch = tiny_batch()
+        calls = []
+        orig = Block.modulation
+
+        def counted(blk, cond):
+            if blk is net.fp_block:
+                calls.append(cond.shape[0])
+            return orig(blk, cond)
+
+        monkeypatch.setattr(Block, "modulation", counted)
+        rng = np.random.default_rng(0)
+        for n, m in ((0, 1), (3, 2), (6, 6)):
+            calls.clear()
+            cfg = SjfbConfig(sampling="fixed", fixed_n=n, fixed_m=m)
+            res = sjfb_train_step(batch, net, cfg, rng)
+            assert calls == [len(batch.t)], (n, m)
+            assert "fp.mod.gate1.w" in res.grads
 
     def test_stochastic_draws_recorded(self):
         net = tiny_net()

@@ -1,6 +1,7 @@
 """Tape engine tests: primitive gradients, recording semantics, round trips."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -106,12 +107,15 @@ def _loss_builders(rng):
     yc = Tensor(rng.normal(size=(3, 2)).astype(np.float32))
     r5 = Tensor(rng.normal(size=(2, 3, 2)).astype(np.float32))
     idx = np.array([0, 3, 3, 1])
+    xb = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32))
+    rb = Tensor(rng.normal(size=(2, 3, 2)).astype(np.float32))
 
     def weighted(t, r):
         return T.sum_all(T.mul(t, r))
 
     return {
         "matmul_rhs": ((4, 2), lambda w: weighted(T.matmul(xc, w), r1)),
+        "matmul_rhs_batched": ((4, 2), lambda w: weighted(T.matmul(xb, w), rb)),
         "matmul_lhs": ((2, 3), lambda w: weighted(T.matmul(w, xc), Tensor(
             np.ones((2, 4), dtype=np.float32)))),
         "add_broadcast": ((4,), lambda w: weighted(T.add(r2, w), r2w)),
@@ -142,6 +146,23 @@ def test_every_primitive_matches_finite_differences_over_many_seeds():
             assert err < 1e-3, f"{name} seed={seed} err={err:.2e}"
             worst = max(worst, err)
     assert worst < 1e-3
+
+
+def test_gelu_forward_matches_float64_pow_reference_bitwise():
+    # The forward cubes by multiplication instead of float64 pow; the last
+    # float64 bit may move, the float32 output must not.
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32),
+        rng.uniform(-12.0, 12.0, 1_000_000).astype(np.float32),
+        rng.normal(0.0, 1e-3, 100_000).astype(np.float32)])
+    x64 = x.astype(np.float64)
+    c = math.sqrt(2.0 / math.pi)
+    want = (0.5 * x64 * (1.0 + np.tanh(c * (x64 + 0.044715 * x64 ** 3))))
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32),
+                          want.astype(np.float32).view(np.uint32))
 
 
 def test_layer_norm_linear_composition_fd():

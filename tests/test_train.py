@@ -20,7 +20,7 @@ from fpdiff.data import DatasetSampler
 from fpdiff.errors import DivergenceError, NumericError, UsageError
 from fpdiff.nn import DenoiseNet, NetworkConfig
 from fpdiff.params import ParamStore
-from fpdiff.schedule import build_schedule, q_sample, v_target
+from fpdiff.schedule import build_schedule, v_target
 from fpdiff.tensor import Tensor
 from fpdiff import train as train_mod
 from fpdiff.train import (
