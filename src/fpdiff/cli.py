@@ -42,6 +42,9 @@ from .solver import SolverConfig, export_trace_csv
 from .train import net_from_checkpoint, train
 
 HEURISTICS = ("constant", "increasing", "decreasing", "adaptive")
+# Adaptive plans are probed on chains 0..PROBE_CHAINS-1 of the request's
+# seed, whatever --count is, so the plan does not depend on the count.
+PROBE_CHAINS = 64
 
 
 def _parse_bool(text):
@@ -87,8 +90,9 @@ def _cmd_train(args):
     return 0
 
 
-def _build_plan(args, net, sched, cfg, sampler, labels):
-    """The plan to run, and the adaptive threshold (None otherwise)."""
+def _build_plan(args, net, sched, cfg, sampler):
+    """The plan to run, and for adaptive plans (threshold, probes, probe
+    block passes); None otherwise."""
     cost = CostModel(cfg.model.n_pre, cfg.model.n_post)
     grid = plan_constant(args.budget, args.iters, cost, sched.timesteps)
     if args.heuristic == "constant":
@@ -98,15 +102,19 @@ def _build_plan(args, net, sched, cfg, sampler, labels):
                          sched.timesteps), None
     # adaptive: probe thresholds with the real sampler on the constant
     # plan's timesteps, then freeze the plan of the tightest feasible one
+    labels = _sample_labels(cfg, PROBE_CHAINS)
+    passes = []
+
     def probe(theta):
         solver = replace(sampler.solver, mode="threshold", theta=theta)
         out = generate(net, sched, replace(sampler, solver=solver),
-                       batch=args.count, timesteps=grid.timesteps,
+                       batch=PROBE_CHAINS, timesteps=grid.timesteps,
                        labels=labels)
+        passes.append(sum(p for _, p in out.counter_records))
         return out.realized
 
     theta, plan = plan_adaptive(args.budget, probe, cost)
-    return plan, theta
+    return plan, (theta, len(passes), sum(passes))
 
 
 def _cmd_sample(args):
@@ -118,7 +126,7 @@ def _cmd_sample(args):
     sampler = SamplerConfig(
         kind=args.sampler, guidance=args.guidance, seed=args.seed,
         solver=SolverConfig(init="reuse" if args.reuse else "injection"))
-    plan, theta = _build_plan(args, net, sched, cfg, sampler, labels)
+    plan, adaptive = _build_plan(args, net, sched, cfg, sampler)
     out = generate(net, sched, sampler, batch=args.count, plan=plan,
                    labels=labels)
     verdict = audit_cost(plan, out.counter_records)
@@ -132,8 +140,11 @@ def _cmd_sample(args):
     export_trace_csv(out.traces, os.path.join(args.out, "traces.csv"))
     print(f"audit ok: {verdict.counted} block passes over "
           f"{plan.steps} timesteps (budget {args.budget})")
-    if theta is not None:
+    if adaptive is not None:
+        theta, probes, passes = adaptive
         print(f"adaptive threshold: {theta!r}")
+        print(f"adaptive probes: {passes} block passes over {probes} "
+              f"probes on {PROBE_CHAINS} chains")
     print(f"samples: {sample_path}")
     return 0
 

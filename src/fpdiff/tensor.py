@@ -232,12 +232,9 @@ def _unbroadcast(grad, shape):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -370,12 +367,14 @@ def matmul(a, b):
         da, db = datas
 
         def bw(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(db, -1, -2)), da.shape)
             if db.ndim == 2 and da.ndim > 2:
-                # A shared weight: one GEMM over all batch rows instead of
-                # one outer product per row summed afterwards.
-                gb = da.reshape(-1, db.shape[0]).T @ g.reshape(-1, db.shape[1])
+                # A shared weight: one GEMM over all batch rows for each
+                # gradient instead of a stacked matmul per row.
+                d, o = db.shape
+                ga = (g.reshape(-1, o) @ db.T).reshape(da.shape)
+                gb = da.reshape(-1, d).T @ g.reshape(-1, o)
             else:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(db, -1, -2)), da.shape)
                 gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g), db.shape)
             return ga, gb
 

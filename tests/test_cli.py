@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,8 @@ class TestSampleCommand:
         stdout = capsys.readouterr().out
         assert "adaptive threshold:" in stdout
         assert "audit ok:" in stdout
+        assert re.search(r"^adaptive probes: \d+ block passes over 8 probes "
+                         r"on 64 chains$", stdout, re.MULTILINE)
         plan = import_plan_csv(out / "plan.csv")
         assert plan.total_cost <= 60
         # The final run is the frozen plan in fixed mode: a fixed-count run
@@ -137,6 +140,38 @@ class TestSampleCommand:
                 int(row["timestep"]) for row in csv.DictReader(fh))
         assert sorted(iters.items(), reverse=True) == \
             list(zip(plan.timesteps, plan.iterations))
+
+    def test_adaptive_plan_is_batch_independent(self, ckpt, tmp_path, capsys):
+        # Whole-batch probes froze different plans at these two counts.
+        small, large = tmp_path / "c32", tmp_path / "c200"
+        stdout = []
+        for out, count in ((small, 32), (large, 200)):
+            assert main(self.sample_args(ckpt, out, heuristic="adaptive",
+                                         count=count, seed=11, budget=30,
+                                         iters=2, reuse="true")) == 0
+            stdout.append([line for line in capsys.readouterr().out.split("\n")
+                           if line.startswith("adaptive")])
+        assert stdout[0] == stdout[1]
+        assert (small / "plan.csv").read_bytes() == \
+            (large / "plan.csv").read_bytes()
+        rows = (large / "samples.csv").read_text().splitlines()[:32]
+        assert (small / "samples.csv").read_text().splitlines() == rows
+
+    @pytest.mark.parametrize("count", [200, 16])
+    def test_adaptive_probes_run_on_64_chains(self, ckpt, tmp_path,
+                                              monkeypatch, count):
+        calls = []
+
+        def spy(net, sched, cfg, batch, **kwargs):
+            calls.append((cfg.solver.mode, batch))
+            return generate(net, sched, cfg, batch, **kwargs)
+
+        monkeypatch.setattr(cli, "generate", spy)
+        assert main(self.sample_args(ckpt, tmp_path / "a",
+                                     heuristic="adaptive", count=count)) == 0
+        *probes, final = calls
+        assert probes and probes == [("threshold", 64)] * len(probes)
+        assert final == ("fixed", count)
 
     def test_guidance_needs_conditional_model(self, ckpt, tmp_path, capsys):
         code = main(self.sample_args(ckpt, tmp_path / "g", guidance=4.0))

@@ -165,6 +165,28 @@ def test_gelu_forward_matches_float64_pow_reference_bitwise():
                           want.astype(np.float32).view(np.uint32))
 
 
+def test_sigmoid_matches_masked_reference_bitwise():
+    # The branch-free form must give the float64 bits of the masked form
+    # it replaced, including at 0, +-inf and where exp would overflow.
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        np.linspace(-700.0, 700.0, 1_000_001),
+        rng.uniform(-40.0, 40.0, 1_000_000),
+        rng.normal(0.0, 1e-3, 100_000),
+        [0.0, -0.0, np.inf, -np.inf, 700.0, -700.0]])
+    got = T._sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), masked(x).view(np.uint64))
+    assert got[-6:-2].tolist() == [0.5, 0.5, 1.0, 0.0]
+
+
 def test_layer_norm_linear_composition_fd():
     rng = np.random.default_rng(7)
     store = ParamStore()
