@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -63,6 +64,9 @@ class ExperimentConfig:
             raise UsageError("class_dropout must lie in [0, 1]")
         if self.metrics_every < 1:
             raise UsageError("metrics_every must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise UsageError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.model.train_timesteps != self.schedule.timesteps:
             raise UsageError("model.train_timesteps must match schedule")
 

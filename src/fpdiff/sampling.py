@@ -11,6 +11,7 @@ into calls.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ class SamplerConfig:
             raise UsageError(f"unknown sampler kind {self.kind!r}")
         if self.guidance < 0:
             raise UsageError("guidance scale must be >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise UsageError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -131,6 +135,8 @@ def generate(net, sched: NoiseSchedule, cfg: SamplerConfig, batch,
     """
     if (plan is None) == (timesteps is None):
         raise UsageError("pass exactly one of plan or timesteps")
+    if batch < 1:
+        raise UsageError(f"need at least one chain, got {batch}")
     if plan is not None:
         ts = list(plan.timesteps)
         iter_counts = list(plan.iterations)

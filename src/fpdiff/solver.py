@@ -48,13 +48,11 @@ class SolverConfig:
 
 @dataclass
 class FixedPointTrace:
-    """Per-solve record: RMS deltas, count, and the final two iterates."""
+    """Per-solve record: the RMS delta of each iteration and their count."""
 
     timestep: int
     deltas: list = field(default_factory=list)
     iterations_used: int = 0
-    second_last: np.ndarray | None = None
-    last: np.ndarray | None = None
 
 
 def rms_delta(a, b):
@@ -80,8 +78,6 @@ def solve(step, x0: Tensor, cfg: SolverConfig, timestep=-1):
         d = rms_delta(x_new.data, x.data)
         trace.deltas.append(d)
         trace.iterations_used += 1
-        trace.second_last = x.data
-        trace.last = x_new.data
         x = x_new
         if d > DIVERGENCE_DELTA:
             raise DivergenceError(

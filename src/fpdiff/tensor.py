@@ -1,11 +1,14 @@
 """Dense float tensors with an explicit recording tape for reverse-mode gradients.
 
 Storage is row-major float32 by default (float64 available as a debug mode via
-``using_dtype``). Primitives run eagerly on numpy arrays; when a tape is
-active, each primitive appends one node holding the saved inputs and a
-backward closure. Evaluation outside a recording context (or inside
-``no_recording``) produces plain untracked tensors, so iterating a function
-many times without grad leaves the tape untouched.
+``using_dtype``). Primitives run eagerly on numpy arrays. Every primitive goes
+through ``_apply`` and so keeps one contract: its forward runs with numpy's
+overflow and invalid warnings off, a non-finite output raises a NumericError
+that names the primitive, and a node holding the backward closure is appended
+only when a tape is active and some input is tracked on it. Evaluation
+outside a recording context (or inside ``no_recording``) produces plain
+untracked tensors, so iterating a function many times without grad leaves
+the tape untouched.
 
 Reductions (sum, mean, MSE, layer-norm statistics, softmax normalizer)
 accumulate in 64-bit and store results back in the working dtype.
@@ -22,10 +25,6 @@ import numpy as np
 from .errors import NumericError, UsageError
 
 _DEFAULT_DTYPE = np.float32
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -68,10 +67,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def numel(self):
-        return self.data.size
 
     def item(self):
         if self.data.size != 1:
@@ -201,10 +196,18 @@ def _target_of(t, tape):
     return None
 
 
-def _apply(op, tensors, attrs, make_backward):
-    datas = tuple(t.data for t in tensors)
+def _apply(op, tensors, forward):
+    """Run one primitive and record it when its gradient can be needed.
+
+    ``forward()`` computes the output from the inputs' arrays and returns it
+    with a backward closure, ``backward(grad) -> input grads`` (one entry per
+    tensor in ``tensors``). The forward runs with numpy's
+    overflow and invalid warnings off; a non-finite output raises a
+    NumericError naming ``op`` instead. A node is appended only when a tape
+    is active and some input is tracked on it; it holds the tape weakly.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _RAW_FORWARD[op](*datas, **attrs)
+        out, bw = forward()
     if not np.all(np.isfinite(out)):
         raise NumericError(f"non-finite output from primitive '{op}'")
     tape = _ACTIVE_TAPE
@@ -212,8 +215,7 @@ def _apply(op, tensors, attrs, make_backward):
     if tape is not None:
         targets = tuple(_target_of(t, tape) for t in tensors)
         if any(tgt is not None for tgt in targets):
-            node = Node(weakref.ref(tape), targets,
-                        make_backward(datas, out, attrs))
+            node = Node(weakref.ref(tape), targets, bw)
             tape.nodes.append(node)
     return Tensor._wrap(out, node)
 
@@ -255,302 +257,188 @@ def _silu_grad(x):
 
 
 # ---------------------------------------------------------------------------
-# Raw forward kernels (ndarray in, ndarray out), looked up by op name in
-# _apply.
-# ---------------------------------------------------------------------------
-
-def _raw_matmul(a, b):
-    return np.matmul(a, b)
-
-
-def _raw_add(a, b):
-    return a + b
-
-
-def _raw_mul(a, b):
-    return a * b
-
-
-def _raw_mul_scalar(a, c):
-    return (a * a.dtype.type(c)).astype(a.dtype, copy=False)
-
-
-def _raw_add_scalar(a, c):
-    return (a + a.dtype.type(c)).astype(a.dtype, copy=False)
-
-
-def _raw_gelu(a):
-    x = a.astype(np.float64, copy=False)
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(a.dtype)
-
-
-def _raw_silu(a):
-    x = a.astype(np.float64, copy=False)
-    return (x * _sigmoid(x)).astype(a.dtype)
-
-
-def _raw_layer_norm(x, *affine, eps=1e-5, has_gain=False, has_bias=False):
-    x64 = x.astype(np.float64, copy=False)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = np.mean((x64 - mu) ** 2, axis=-1, keepdims=True)
-    xhat = (x64 - mu) / np.sqrt(var + eps)
-    out = xhat
-    rest = list(affine)
-    if has_gain:
-        out = out * rest.pop(0)
-    if has_bias:
-        out = out + rest.pop(0)
-    return out.astype(x.dtype)
-
-
-def _raw_softmax(x):
-    # Per-row max subtraction keeps exp() in range regardless of logit scale.
-    x64 = x.astype(np.float64, copy=False)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(x.dtype)
-
-
-def _raw_sum_all(a):
-    return np.asarray(a.sum(dtype=np.float64), dtype=a.dtype)
-
-
-def _raw_mean_all(a):
-    return np.asarray(a.mean(dtype=np.float64), dtype=a.dtype)
-
-
-def _raw_mse(a, b):
-    d = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
-    return np.asarray(np.mean(d * d), dtype=a.dtype)
-
-
-def _raw_reshape(a, shape):
-    return np.ascontiguousarray(a).reshape(shape)
-
-
-def _raw_transpose(a, axes):
-    return np.ascontiguousarray(np.transpose(a, axes))
-
-
-def _raw_embed_rows(table, idx):
-    return np.ascontiguousarray(table[idx])
-
-
-_RAW_FORWARD = {
-    "matmul": _raw_matmul,
-    "add": _raw_add,
-    "mul": _raw_mul,
-    "mul_scalar": _raw_mul_scalar,
-    "add_scalar": _raw_add_scalar,
-    "gelu": _raw_gelu,
-    "silu": _raw_silu,
-    "layer_norm": _raw_layer_norm,
-    "softmax": _raw_softmax,
-    "sum_all": _raw_sum_all,
-    "mean_all": _raw_mean_all,
-    "mse": _raw_mse,
-    "reshape": _raw_reshape,
-    "transpose": _raw_transpose,
-    "embed_rows": _raw_embed_rows,
-}
-
-
-# ---------------------------------------------------------------------------
-# Public primitives.
+# Public primitives. Each one hands _apply its forward and a backward
+# closure over the input arrays (and, for softmax and layer_norm, over the
+# forward's own results).
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    da, db = a.data, b.data
 
-    def make_backward(datas, out, attrs):
-        da, db = datas
+    def bw(g):
+        if db.ndim == 2 and da.ndim > 2:
+            # A shared weight: one GEMM over all batch rows for each
+            # gradient instead of a stacked matmul per row.
+            d, o = db.shape
+            ga = (g.reshape(-1, o) @ db.T).reshape(da.shape)
+            gb = da.reshape(-1, d).T @ g.reshape(-1, o)
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(db, -1, -2)), da.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g), db.shape)
+        return ga, gb
 
-        def bw(g):
-            if db.ndim == 2 and da.ndim > 2:
-                # A shared weight: one GEMM over all batch rows for each
-                # gradient instead of a stacked matmul per row.
-                d, o = db.shape
-                ga = (g.reshape(-1, o) @ db.T).reshape(da.shape)
-                gb = da.reshape(-1, d).T @ g.reshape(-1, o)
-            else:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(db, -1, -2)), da.shape)
-                gb = _unbroadcast(np.matmul(np.swapaxes(da, -1, -2), g), db.shape)
-            return ga, gb
-
-        return bw
-
-    return _apply("matmul", (a, b), {}, make_backward)
+    return _apply("matmul", (a, b), lambda: (np.matmul(da, db), bw))
 
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    da, db = a.data, b.data
 
-    def make_backward(datas, out, attrs):
-        da, db = datas
+    def bw(g):
+        return _unbroadcast(g, da.shape), _unbroadcast(g, db.shape)
 
-        def bw(g):
-            return _unbroadcast(g, da.shape), _unbroadcast(g, db.shape)
-
-        return bw
-
-    return _apply("add", (a, b), {}, make_backward)
+    return _apply("add", (a, b), lambda: (da + db, bw))
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    da, db = a.data, b.data
 
-    def make_backward(datas, out, attrs):
-        da, db = datas
+    def bw(g):
+        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
 
-        def bw(g):
-            return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
-
-        return bw
-
-    return _apply("mul", (a, b), {}, make_backward)
+    return _apply("mul", (a, b), lambda: (da * db, bw))
 
 
 def mul_scalar(a, c):
     a = _as_tensor(a)
+    x = a.data
     c = float(c)
 
-    def make_backward(datas, out, attrs):
-        def bw(g):
-            return ((g * attrs["c"]).astype(g.dtype, copy=False),)
+    def bw(g):
+        return ((g * c).astype(g.dtype, copy=False),)
 
-        return bw
-
-    return _apply("mul_scalar", (a,), {"c": c}, make_backward)
+    return _apply("mul_scalar", (a,), lambda: (
+        (x * x.dtype.type(c)).astype(x.dtype, copy=False), bw))
 
 
 def add_scalar(a, c):
     a = _as_tensor(a)
+    x = a.data
     c = float(c)
 
-    def make_backward(datas, out, attrs):
-        def bw(g):
-            return (g,)
+    def bw(g):
+        return (g,)
 
-        return bw
-
-    return _apply("add_scalar", (a,), {"c": c}, make_backward)
+    return _apply("add_scalar", (a,), lambda: (
+        (x + x.dtype.type(c)).astype(x.dtype, copy=False), bw))
 
 
 def gelu(a):
     a = _as_tensor(a)
+    x = a.data
 
-    def make_backward(datas, out, attrs):
-        (x,) = datas
+    def bw(g):
+        return ((g * _gelu_grad(x)).astype(x.dtype),)
 
-        def bw(g):
-            return ((g * _gelu_grad(x)).astype(x.dtype),)
+    def forward():
+        x64 = x.astype(np.float64, copy=False)
+        inner = _GELU_C * (x64 + _GELU_A * (x64 * x64 * x64))
+        return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(x.dtype), bw
 
-        return bw
-
-    return _apply("gelu", (a,), {}, make_backward)
+    return _apply("gelu", (a,), forward)
 
 
 def silu(a):
     a = _as_tensor(a)
+    x = a.data
 
-    def make_backward(datas, out, attrs):
-        (x,) = datas
+    def bw(g):
+        return ((g * _silu_grad(x)).astype(x.dtype),)
 
-        def bw(g):
-            return ((g * _silu_grad(x)).astype(x.dtype),)
+    def forward():
+        x64 = x.astype(np.float64, copy=False)
+        return (x64 * _sigmoid(x64)).astype(x.dtype), bw
 
-        return bw
-
-    return _apply("silu", (a,), {}, make_backward)
+    return _apply("silu", (a,), forward)
 
 
 def layer_norm(x, gain=None, bias=None, eps=1e-5):
     """Normalize the last axis; optional learned per-channel gain and bias."""
     x = _as_tensor(x)
     tensors = [x]
-    has_gain = gain is not None
-    has_bias = bias is not None
-    if has_gain:
-        tensors.append(_as_tensor(gain))
-    if has_bias:
-        tensors.append(_as_tensor(bias))
+    if gain is not None:
+        gain = _as_tensor(gain)
+        tensors.append(gain)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        tensors.append(bias)
+    xd = x.data
+    eps = float(eps)
 
-    def make_backward(datas, out, attrs):
-        xd = datas[0]
+    def forward():
         x64 = xd.astype(np.float64, copy=False)
         mu = x64.mean(axis=-1, keepdims=True)
         var = np.mean((x64 - mu) ** 2, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + attrs["eps"])
-        xhat = (x64 - mu) * inv
-        gd = datas[1] if has_gain else None
+        out = (x64 - mu) / np.sqrt(var + eps)
+        if gain is not None:
+            out = out * gain.data
+        if bias is not None:
+            out = out + bias.data
 
         def bw(g):
+            inv = 1.0 / np.sqrt(var + eps)
+            xhat = (x64 - mu) * inv
             g64 = g.astype(np.float64, copy=False)
-            gy = g64 * gd if has_gain else g64
+            gy = g64 * gain.data if gain is not None else g64
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            gx = ((gy - m1 - xhat * m2) * inv).astype(xd.dtype)
-            grads = [gx]
-            if has_gain:
-                gg = _unbroadcast(g64 * xhat, gd.shape).astype(xd.dtype)
-                grads.append(gg)
-            if has_bias:
-                gb = _unbroadcast(g64, datas[-1].shape).astype(xd.dtype)
-                grads.append(gb)
+            grads = [((gy - m1 - xhat * m2) * inv).astype(xd.dtype)]
+            if gain is not None:
+                grads.append(_unbroadcast(g64 * xhat, gain.shape).astype(xd.dtype))
+            if bias is not None:
+                grads.append(_unbroadcast(g64, bias.shape).astype(xd.dtype))
             return tuple(grads)
 
-        return bw
+        return out.astype(xd.dtype), bw
 
-    return _apply("layer_norm", tuple(tensors),
-                  {"eps": float(eps), "has_gain": has_gain, "has_bias": has_bias},
-                  make_backward)
+    return _apply("layer_norm", tuple(tensors), forward)
 
 
 def softmax(x):
     """Softmax over the last axis (rows shifted by their max internally)."""
     x = _as_tensor(x)
+    xd = x.data
 
-    def make_backward(datas, out, attrs):
-        s = out.astype(np.float64, copy=False)
+    def forward():
+        # Per-row max subtraction keeps exp() in range regardless of logit scale.
+        x64 = xd.astype(np.float64, copy=False)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        out = (e / e.sum(axis=-1, keepdims=True)).astype(xd.dtype)
 
         def bw(g):
+            s = out.astype(np.float64, copy=False)
             g64 = g.astype(np.float64, copy=False)
             dot = (g64 * s).sum(axis=-1, keepdims=True)
             return (((g64 - dot) * s).astype(out.dtype),)
 
-        return bw
+        return out, bw
 
-    return _apply("softmax", (x,), {}, make_backward)
+    return _apply("softmax", (x,), forward)
 
 
 def sum_all(a):
     a = _as_tensor(a)
+    x = a.data
 
-    def make_backward(datas, out, attrs):
-        (x,) = datas
+    def bw(g):
+        return (np.broadcast_to(g.reshape(()), x.shape).astype(x.dtype).copy(),)
 
-        def bw(g):
-            return (np.broadcast_to(g.reshape(()), x.shape).astype(x.dtype).copy(),)
-
-        return bw
-
-    return _apply("sum_all", (a,), {}, make_backward)
+    return _apply("sum_all", (a,), lambda: (
+        np.asarray(x.sum(dtype=np.float64), dtype=x.dtype), bw))
 
 
 def mean_all(a):
     a = _as_tensor(a)
+    x = a.data
 
-    def make_backward(datas, out, attrs):
-        (x,) = datas
+    def bw(g):
+        full = np.broadcast_to(g.reshape(()) / x.size, x.shape)
+        return (full.astype(x.dtype).copy(),)
 
-        def bw(g):
-            full = np.broadcast_to(g.reshape(()) / x.size, x.shape)
-            return (full.astype(x.dtype).copy(),)
-
-        return bw
-
-    return _apply("mean_all", (a,), {}, make_backward)
+    return _apply("mean_all", (a,), lambda: (
+        np.asarray(x.mean(dtype=np.float64), dtype=x.dtype), bw))
 
 
 def mse(a, b):
@@ -558,49 +446,41 @@ def mse(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise UsageError(f"mse shape mismatch: {a.shape} vs {b.shape}")
+    da, db = a.data, b.data
 
-    def make_backward(datas, out, attrs):
-        da, db = datas
+    def forward():
+        d = da.astype(np.float64, copy=False) - db.astype(np.float64, copy=False)
 
         def bw(g):
-            coeff = 2.0 / da.size
-            diff = da.astype(np.float64, copy=False) - db.astype(np.float64, copy=False)
-            ga = (g.reshape(()) * coeff * diff).astype(da.dtype)
+            ga = (g.reshape(()) * (2.0 / da.size) * d).astype(da.dtype)
             return ga, -ga
 
-        return bw
+        return np.asarray(np.mean(d * d), dtype=da.dtype), bw
 
-    return _apply("mse", (a, b), {}, make_backward)
+    return _apply("mse", (a, b), forward)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
+    x = a.data
     shape = tuple(int(s) for s in shape)
 
-    def make_backward(datas, out, attrs):
-        (x,) = datas
+    def bw(g):
+        return (np.ascontiguousarray(g).reshape(x.shape),)
 
-        def bw(g):
-            return (np.ascontiguousarray(g).reshape(x.shape),)
-
-        return bw
-
-    return _apply("reshape", (a,), {"shape": shape}, make_backward)
+    return _apply("reshape", (a,), lambda: (
+        np.ascontiguousarray(x).reshape(shape), bw))
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
     axes = tuple(int(ax) for ax in axes)
 
-    def make_backward(datas, out, attrs):
-        inv = tuple(np.argsort(axes))
+    def bw(g):
+        return (np.ascontiguousarray(np.transpose(g, tuple(np.argsort(axes)))),)
 
-        def bw(g):
-            return (np.ascontiguousarray(np.transpose(g, inv)),)
-
-        return bw
-
-    return _apply("transpose", (a,), {"axes": axes}, make_backward)
+    return _apply("transpose", (a,), lambda: (
+        np.ascontiguousarray(np.transpose(a.data, axes)), bw))
 
 
 def embed_rows(table, idx):
@@ -611,19 +491,15 @@ def embed_rows(table, idx):
         raise UsageError(f"embed_rows needs a 1-d index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise UsageError("embed_rows index out of range")
+    tb = table.data
 
-    def make_backward(datas, out, attrs):
-        (tb,) = datas
-        ix = attrs["idx"]
+    def bw(g):
+        gt = np.zeros_like(tb)
+        np.add.at(gt, idx, g)
+        return (gt,)
 
-        def bw(g):
-            gt = np.zeros_like(tb)
-            np.add.at(gt, ix, g)
-            return (gt,)
-
-        return bw
-
-    return _apply("embed_rows", (table,), {"idx": idx}, make_backward)
+    return _apply("embed_rows", (table,), lambda: (
+        np.ascontiguousarray(tb[idx]), bw))
 
 
 def linear(x, w, b=None):

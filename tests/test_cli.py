@@ -256,6 +256,32 @@ class TestSweepCommand:
         assert "--config" in err and "--ckpt" in err
 
 
+BAD_COUNTS_AND_SEEDS = {
+    "sample-count-zero": ["sample", "--count", "0"],
+    "sample-count-negative": ["sample", "--count", "-3"],
+    "sample-seed-negative": ["sample", "--seed", "-1"],
+    "sweep-count-zero": ["sweep", "smoothing", "--count", "0",
+                         "--k-list", "2", "--seeds", "0"],
+    "sweep-seed-negative": ["sweep", "smoothing", "--count", "16",
+                            "--k-list", "2", "--seeds", "-1"],
+    "train-seed-negative": ["train", '{"seed": -1}'],
+    "train-seed-fractional": ["train", '{"seed": 1.5}'],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS_AND_SEEDS.values(),
+                         ids=BAD_COUNTS_AND_SEEDS.keys())
+def test_bad_chain_count_or_seed_is_usage_error(argv, ckpt, tmp_path, capsys):
+    if argv[0] == "train":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(argv[1])
+        argv = ["train", "--config", str(cfg_path)]
+    else:
+        argv = argv + ["--ckpt", str(ckpt)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_eval_on_csv_pairs(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -345,10 +346,37 @@ def test_tape_is_freed_without_the_cycle_collector():
     assert set(grads) == {"w"}
 
 
-def test_non_finite_output_names_the_primitive():
-    big = Tensor(np.full((2, 2), 3e38, dtype=np.float32))
-    with pytest.raises(NumericError, match="mul"):
-        T.mul(big, big)
+# One call per primitive on a (2, 3) input; see the test below.
+PRIMITIVE_CALLS = {
+    "matmul": lambda x: T.matmul(x, Tensor(np.ones((3, 2)))),
+    "add": lambda x: T.add(x, x),
+    "mul": lambda x: T.mul(x, x),
+    "mul_scalar": lambda x: T.mul_scalar(x, 2.0),
+    "add_scalar": lambda x: T.add_scalar(x, 1.0),
+    "gelu": T.gelu,
+    "silu": T.silu,
+    "layer_norm": lambda x: T.layer_norm(x, np.ones(3), np.zeros(3)),
+    "softmax": T.softmax,
+    "sum_all": T.sum_all,
+    "mean_all": T.mean_all,
+    "mse": lambda x: T.mse(x, Tensor(np.zeros((2, 3)))),
+    "reshape": lambda x: T.reshape(x, (3, 2)),
+    "transpose": lambda x: T.transpose(x, (1, 0)),
+    "embed_rows": lambda x: T.embed_rows(x, [1, 0]),
+}
+
+
+@pytest.mark.parametrize("op", PRIMITIVE_CALLS)
+def test_non_finite_output_names_the_primitive(op):
+    # inf, -inf and a value whose square or double overflows float32: the
+    # forward may overflow or produce nan, but must neither warn nor return
+    # a non-finite tensor.
+    x = Tensor(np.array([[np.inf, -np.inf, 3e38], [1.0, 2.0, 3.0]],
+                        dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"primitive '{op}'"):
+            PRIMITIVE_CALLS[op](x)
 
 
 def test_param_store_contracts():
